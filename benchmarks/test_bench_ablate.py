@@ -42,8 +42,9 @@ def test_ablate_runset(benchmark, scale):
     runs, skipped, ids = benchmark(expand)
     assert runs[0].is_baseline
     # one variant per non-incumbent component per axis, skips recorded
-    # (allocator axis: 16 registered strategies, 1 incumbent)
-    assert len(runs) + len(skipped) == 1 + (3 + 2 + 4 + 16 + 7)
+    # (admission axis: 4 registered tests, 1 incumbent; allocator
+    # axis: 16 registered strategies, 1 incumbent)
+    assert len(runs) + len(skipped) == 1 + (3 + 2 + 3 + 16 + 7)
     assert len(set(ids)) == len(ids)
 
 
@@ -61,4 +62,4 @@ def test_ablate_cached_rescore(benchmark, scale, tmp_path):
     warm = benchmark(rescore)
     assert warm == cold  # byte-identical to the cold run
     domain = experiment.decode_data(warm.data)
-    assert len(domain.components) == 2 + 4  # orderings + admissions swaps
+    assert len(domain.components) == 2 + 3  # orderings + admissions swaps

@@ -13,7 +13,7 @@ import numpy as np
 import pytest
 
 from repro.analysis.interference import Interferer, InterferenceEnv
-from repro.analysis.rta import response_time, response_times_batch
+from repro.analysis.rta import response_time
 from repro.model.task import SecurityTask
 from repro.opt.lp import solve_lp
 from repro.opt.period import adapt_period
@@ -52,19 +52,6 @@ def test_adapt_period_gp_route(benchmark, task, env):
 def test_exact_rta(benchmark, env):
     result = benchmark(response_time, 25.0, env.interferers)
     assert result < float("inf")
-
-
-def test_rta_batch(benchmark):
-    """The vectorised whole-core RTA — the admission test's fast path
-    on large cores, pinned by the CI benchmark gate."""
-    rng = np.random.default_rng(7)
-    n = 64
-    periods = np.sort(rng.uniform(10.0, 2000.0, size=n))
-    wcets = periods * rng.uniform(0.002, 0.012, size=n)
-
-    times = benchmark(response_times_batch, wcets, periods)
-    assert times.shape == (n,)
-    assert np.all(times[np.isfinite(times)] >= wcets[np.isfinite(times)])
 
 
 def test_simplex_lp(benchmark):

@@ -30,22 +30,18 @@ probe only pays for what the candidate can actually change:
 
 All three properties are decision-preserving, so the verdict is
 identical to calling :func:`repro.analysis.schedulability.rta_test` on
-the rebuilt task list (the batched dispatch at
-:data:`~repro.analysis.schedulability._RTA_BATCH_MIN_TASKS` tasks is
-mirrored exactly) — pinned by an equivalence property suite and the
-golden fixtures.
+the rebuilt task list — pinned by an equivalence property suite and
+the golden fixtures.
 """
 
 from __future__ import annotations
 
 import math
-from bisect import bisect_left
+from bisect import bisect_right
+from operator import itemgetter
 from typing import Iterable
 
-import numpy as np
-
-from repro.analysis.rta import _MAX_ITERATIONS, response_times_batch
-from repro.analysis.schedulability import _RTA_BATCH_MIN_TASKS
+from repro.analysis.rta import _MAX_ITERATIONS
 from repro.errors import ValidationError
 from repro.model.task import RealTimeTask
 
@@ -64,6 +60,12 @@ def _rm_key(task: RealTimeTask) -> tuple[float, float, str]:
     :func:`repro.model.priority.rate_monotonic_order` exactly so probes
     see the same priority order the from-scratch test would build."""
     return (task.period, -task.wcet, task.name)
+
+
+#: Reads an entry's RM key.  Inserting with ``bisect_right`` on it puts
+#: a task after residents with an equal key, as the stable sort of
+#: ``[*placed, task]`` does.
+_entry_key = itemgetter(0)
 
 
 def _fixed_point(
@@ -185,7 +187,7 @@ class ExactAdmissionCore:
     def add(self, task: RealTimeTask) -> None:
         """Commit ``task`` to the core (no admission check)."""
         key = _rm_key(task)
-        pos = bisect_left(self._entries, (key,))
+        pos = bisect_right(self._entries, key, key=_entry_key)
         if self._pending is not None and self._pending[0] == (
             key,
             task.deadline,
@@ -215,14 +217,6 @@ class ExactAdmissionCore:
         ``(wcet, period, deadline)`` inserted at ``pos`` — computed
         against the *pre-insert* ``_entries``/``_responses`` state."""
         entries = self._entries
-        if len(entries) + 1 >= _RTA_BATCH_MIN_TASKS:
-            wcets = [entry[1][0] for entry in entries]
-            periods = [entry[1][1] for entry in entries]
-            deadlines = [entry[2] for entry in entries]
-            wcets.insert(pos, wcet)
-            periods.insert(pos, period)
-            deadlines.insert(pos, deadline)
-            return list(response_times_batch(wcets, periods, deadlines))
         hp_pairs = [entry[1] for entry in entries[:pos]]
         cand = _fixed_point(wcet, hp_pairs, deadline)
         responses = self._responses[:pos] + [cand]
@@ -240,9 +234,8 @@ class ExactAdmissionCore:
     def admits(self, task: RealTimeTask) -> bool:
         """Would the core stay RM-schedulable with ``task`` added?
 
-        Identical verdict to
-        ``rta_test([*placed_tasks, task])`` — including the batched
-        dispatch on large cores — at a fraction of the work.
+        Identical verdict to ``rta_test([*placed_tasks, task])`` at a
+        fraction of the work.
         """
         self._pending = None
         if not self._feasible:
@@ -251,7 +244,7 @@ class ExactAdmissionCore:
             # same failing resident.
             return False
         key = _rm_key(task)
-        pos = bisect_left(self._entries, (key,))
+        pos = bisect_right(self._entries, key, key=_entry_key)
         # O(1) divergence cut-off: the lowest-priority task after
         # insertion sees every other task as higher priority.  If that
         # higher-priority utilisation reaches 1 its fixed point
@@ -272,8 +265,6 @@ class ExactAdmissionCore:
             >= 1.0 + _UTILIZATION_MARGIN
         ):
             return False
-        if len(self._entries) + 1 >= _RTA_BATCH_MIN_TASKS:
-            return self._admits_batched(task, key, pos)
 
         hp_pairs = [entry[1] for entry in self._entries[:pos]]
         cand = _fixed_point(task.wcet, hp_pairs, task.deadline)
@@ -296,23 +287,3 @@ class ExactAdmissionCore:
             hp_pairs.append(pair)
         self._pending = ((key, task.deadline), responses)
         return True
-
-    def _admits_batched(
-        self,
-        task: RealTimeTask,
-        key: tuple[float, float, str],
-        pos: int,
-    ) -> bool:
-        """Mirror of ``rta_schedulable_batch`` for large cores (same
-        inputs in the same order ⇒ same verdict bit for bit)."""
-        wcets = [entry[1][0] for entry in self._entries]
-        periods = [entry[1][1] for entry in self._entries]
-        deadlines = [entry[2] for entry in self._entries]
-        wcets.insert(pos, task.wcet)
-        periods.insert(pos, task.period)
-        deadlines.insert(pos, task.deadline)
-        responses = response_times_batch(wcets, periods, deadlines)
-        verdict = bool(np.all(responses <= np.asarray(deadlines) + 1e-9))
-        if verdict:
-            self._pending = ((key, task.deadline), list(responses))
-        return verdict

@@ -18,9 +18,6 @@ from __future__ import annotations
 import math
 from typing import Iterable, Iterator, Sequence
 
-import numpy as np
-
-from repro.analysis.arrays import TaskArrays
 from repro.model.platform import Platform
 from repro.model.task import RealTimeTask
 
@@ -29,10 +26,6 @@ __all__ = [
     "total_demand",
     "dbf_check_points",
     "necessary_condition",
-    "demand_bound_arrays",
-    "total_demand_arrays",
-    "dbf_step_points_arrays",
-    "necessary_condition_arrays",
 ]
 
 
@@ -121,95 +114,3 @@ def necessary_condition(
         if total_demand(task_list, t) > capacity * t + 1e-9:
             return False
     return True
-
-
-def demand_bound_arrays(
-    arrays: TaskArrays, t: float | np.ndarray
-) -> np.ndarray:
-    """Vectorised ``DBF(τ_i, t)`` for every task of ``arrays`` at once.
-
-    ``t`` may be a scalar (result shape ``(n,)``) or a vector of ``k``
-    horizons (result shape ``(k, n)`` — one row per horizon).  Matches
-    :func:`demand_bound` task for task: ``max(0, ⌊(t − D)/T⌋ + 1) · C``
-    with non-positive horizons contributing zero demand.
-    """
-    horizons = np.atleast_1d(np.asarray(t, dtype=float))[:, None]
-    jobs = np.floor((horizons - arrays.deadlines) / arrays.periods) + 1.0
-    demand = np.where(
-        (horizons > 0) & (jobs > 0), jobs * arrays.wcets, 0.0
-    )
-    return demand[0] if np.isscalar(t) or np.ndim(t) == 0 else demand
-
-
-def total_demand_arrays(
-    arrays: TaskArrays, t: float | np.ndarray
-) -> float | np.ndarray:
-    """Σ DBF over ``arrays`` at one horizon (float) or many (vector)."""
-    demand = demand_bound_arrays(arrays, t)
-    if demand.ndim == 1:
-        return float(np.sum(demand))
-    return np.sum(demand, axis=1)
-
-
-def dbf_step_points_arrays(
-    arrays: TaskArrays, horizon: float
-) -> np.ndarray:
-    """All DBF step points ``k·T + D ≤ horizon``, sorted ascending.
-
-    The array counterpart of :func:`dbf_check_points`: every absolute
-    deadline of every task inside the horizon, deduplicated, as one
-    float vector built without a Python-level loop per job.
-    """
-    if len(arrays) == 0 or horizon <= 0:
-        return np.zeros(0)
-    counts = np.floor((horizon - arrays.deadlines) / arrays.periods) + 1.0
-    counts = np.maximum(counts, 0.0).astype(np.int64)
-    if not counts.any():
-        return np.zeros(0)
-    task_index = np.repeat(np.arange(len(arrays)), counts)
-    job_index = np.concatenate([np.arange(c) for c in counts])
-    points = (
-        arrays.deadlines[task_index]
-        + job_index * arrays.periods[task_index]
-    )
-    return np.unique(points)
-
-
-def necessary_condition_arrays(
-    arrays: TaskArrays, platform: Platform | int
-) -> bool:
-    """Array-program evaluation of the Eq. (1) necessary condition.
-
-    Decision-equivalent to :func:`necessary_condition` (pinned by a
-    hypothesis agreement suite) but runs the whole step-point scan as
-    one ``(points × tasks)`` demand matrix instead of a nested Python
-    loop — the form batched sweep callers use once the task set is
-    already in :class:`TaskArrays` shape.
-    """
-    capacity = float(
-        platform.num_cores if isinstance(platform, Platform) else platform
-    )
-    if len(arrays) == 0:
-        return True
-    total_u = arrays.total_utilization
-    if total_u > capacity + 1e-12:
-        return False
-    if np.all(arrays.deadlines == arrays.periods):
-        # Implicit deadlines: the utilisation check above is exact.
-        return True
-    if total_u >= capacity:
-        horizon = float(np.max(arrays.deadlines))
-    else:
-        slack_sum = float(
-            np.sum(
-                arrays.utilizations * (arrays.periods - arrays.deadlines)
-            )
-        )
-        horizon = max(
-            slack_sum / (capacity - total_u), float(np.max(arrays.deadlines))
-        )
-    points = dbf_step_points_arrays(arrays, horizon)
-    if points.size == 0:
-        return True
-    demand = total_demand_arrays(arrays, points)
-    return bool(np.all(demand <= capacity * points + 1e-9))

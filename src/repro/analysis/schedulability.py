@@ -22,11 +22,7 @@ import math
 from typing import Callable, Iterable, Sequence
 
 from repro.analysis.interference import InterferenceEnv
-from repro.analysis.rta import (
-    response_time,
-    rta_schedulable,
-    rta_schedulable_batch,
-)
+from repro.analysis.rta import response_time, rta_schedulable
 from repro.model.system import Partition
 from repro.model.task import RealTimeTask, SecurityTask
 
@@ -36,7 +32,6 @@ __all__ = [
     "hyperbolic_test",
     "utilization_test",
     "rta_test",
-    "rta_batch_test",
     "AdmissionTest",
     "ADMISSION_TESTS",
     "get_admission_test",
@@ -81,34 +76,13 @@ def utilization_test(tasks: Sequence[RealTimeTask]) -> bool:
     return sum(task.utilization for task in tasks) <= 1.0 + 1e-12
 
 
-#: Core sizes from which the vectorised RTA beats the scalar loop
-#: (numpy setup overhead amortises over the per-task fixed points;
-#: measured crossover ≈ 15 tasks on CPython 3.11 / numpy 1.26+).
-_RTA_BATCH_MIN_TASKS = 16
-
-
 def rta_test(tasks: Sequence[RealTimeTask]) -> bool:
-    """Exact RM schedulability via response-time analysis (default).
-
-    Dispatches to the vectorised batch solver
-    (:func:`repro.analysis.rta.rta_schedulable_batch`) once the core
-    holds :data:`_RTA_BATCH_MIN_TASKS` tasks; both paths are
-    decision-equivalent (tested), the batch one is just faster on the
-    partitioning heuristics' hot admission loop.
-    """
-    if len(tasks) >= _RTA_BATCH_MIN_TASKS:
-        return rta_schedulable_batch(tasks)
+    """Exact RM schedulability via response-time analysis (default)."""
     return rta_schedulable(tasks)
-
-
-def rta_batch_test(tasks: Sequence[RealTimeTask]) -> bool:
-    """Exact RM schedulability, always via the batched solver."""
-    return rta_schedulable_batch(tasks)
 
 
 _TESTS: dict[str, AdmissionTest] = {
     "rta": rta_test,
-    "rta-batch": rta_batch_test,
     "hyperbolic": hyperbolic_test,
     "liu-layland": liu_layland_test,
     "utilization": utilization_test,

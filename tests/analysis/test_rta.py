@@ -38,18 +38,47 @@ class TestResponseTime:
     def test_accepts_interferer_objects(self):
         assert response_time(2.0, [Interferer(1.0, 4.0)]) == 3.0
 
-    def test_limit_exceeded_returns_inf(self):
-        assert response_time(3.0, [(1.0, 4.0), (2.0, 6.0)], limit=9.0) == (
-            math.inf
-        )
+    @pytest.mark.parametrize(
+        "wcet, interferers, limit, unlimited",
+        [
+            (3.0, [(1.0, 4.0), (2.0, 6.0)], 9.0, 10.0),
+            # The fixed point 1 + ⌈6/6⌉·5 = 6 lies past a constrained
+            # deadline of 5.
+            (1.0, [(5.0, 6.0)], 5.0, 6.0),
+        ],
+    )
+    def test_limit_exceeded_returns_inf(
+        self, wcet, interferers, limit, unlimited
+    ):
+        assert response_time(wcet, interferers, limit=limit) == math.inf
+        assert response_time(wcet, interferers) == pytest.approx(unlimited)
 
-    def test_saturated_interferers_return_inf(self):
-        assert response_time(1.0, [(5.0, 10.0), (5.0, 10.0)]) == math.inf
+    @pytest.mark.parametrize(
+        "interferers",
+        [
+            [(5.0, 10.0), (5.0, 10.0)],
+            [(1.0, 2.0), (1.0, 4.0), (1.0, 4.0)],
+        ],
+    )
+    def test_saturated_interferers_return_inf(self, interferers):
+        # Interferer utilisation of exactly 1: no finite fixed point.
+        assert response_time(1.0, interferers) == math.inf
 
-    def test_blocking_term_added_once(self):
-        without = response_time(2.0, [(1.0, 10.0)])
-        with_blocking = response_time(2.0, [(1.0, 10.0)], blocking=1.0)
-        assert with_blocking >= without + 1.0 - 1e-9
+    @pytest.mark.parametrize(
+        "wcet, interferers, blocking, expected",
+        [
+            (2.0, [(1.0, 10.0)], 1.0, 4.0),
+            # 3 + 2.5 + ⌈9.5/8⌉·1 + ⌈9.5/20⌉·2 = 9.5
+            (3.0, [(1.0, 8.0), (2.0, 20.0)], 2.5, 9.5),
+        ],
+    )
+    def test_blocking_term_added_once(
+        self, wcet, interferers, blocking, expected
+    ):
+        without = response_time(wcet, interferers)
+        with_blocking = response_time(wcet, interferers, blocking=blocking)
+        assert with_blocking >= without + blocking - 1e-9
+        assert with_blocking == pytest.approx(expected)
 
     def test_blocking_can_cascade_through_ceilings(self):
         # Blocking pushing R across a release boundary adds more than
@@ -100,8 +129,22 @@ class TestRtaSchedulable:
         tasks = [rt("a", 1, 4), rt("b", 2, 6), rt("c", 3, 12)]
         assert rta_schedulable(tasks)
 
-    def test_overloaded_set_rejected(self):
-        tasks = [rt("a", 3, 4), rt("b", 3, 6)]
+    @pytest.mark.parametrize(
+        "tasks",
+        [
+            [rt("a", 3, 4), rt("b", 3, 6)],
+            # The higher-priority "a" misses its deadline (1.2 + 2·1 =
+            # 3.2 > 2); the lower-priority "a", which meets its own
+            # deadline, must not mask that miss.
+            [
+                RealTimeTask(name="x", wcet=1.0, period=2.0, deadline=2.0),
+                RealTimeTask(name="a", wcet=1.2, period=3.0, deadline=2.0),
+                RealTimeTask(name="a", wcet=0.1, period=100.0),
+            ],
+        ],
+        ids=["overload", "shared-name"],
+    )
+    def test_overloaded_set_rejected(self, tasks):
         assert not rta_schedulable(tasks)
 
     def test_rta_beats_liu_layland(self):

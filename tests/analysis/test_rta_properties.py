@@ -1,6 +1,7 @@
 """Property-based tests for the exact RTA module (hypothesis).
 
-Structural facts the allocators and the batched fast path rely on:
+Structural facts the allocators and the incremental admission state
+(:class:`repro.analysis.admission.ExactAdmissionCore`) rely on:
 
 * the fixed point is **monotone** in the analysed task's WCET and in
   the blocking term (more work never responds sooner);
@@ -22,11 +23,7 @@ import pytest
 from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
-from repro.analysis.rta import (
-    core_response_times,
-    core_response_times_batch,
-    response_time,
-)
+from repro.analysis.rta import core_response_times, response_time
 from repro.model.task import RealTimeTask
 
 # Interferer sets are drawn with bounded per-task utilisation so most
@@ -81,8 +78,11 @@ def test_response_independent_of_own_period(wcet, periods, interferers):
     them.  Draws whose fixed point exceeds the smallest candidate
     period are discarded — there the *implicit deadline*, not the
     period's role in the recurrence, would (legitimately) differ.
+    Solving with that period as the limit discards them without
+    iterating to their fixed point, which for an interferer utilisation
+    a hair below 1 lies past the iteration cap.
     """
-    direct = response_time(wcet, interferers)
+    direct = response_time(wcet, interferers, limit=min(periods))
     assume(direct <= min(periods))
     higher = [
         RealTimeTask(name=f"hp{i:02d}", wcet=c, period=t)
@@ -132,28 +132,3 @@ def test_lowest_priority_entry_matches_direct_response_time(data):
         assert math.isinf(per_core[lowest.name])
     else:
         assert per_core[lowest.name] == direct
-
-
-@settings(max_examples=100, deadline=None)
-@given(
-    data=st.lists(
-        st.tuples(
-            st.floats(min_value=0.05, max_value=8.0),
-            st.floats(min_value=10.0, max_value=1000.0),
-        ).filter(lambda ct: ct[0] <= ct[1]),
-        min_size=1,
-        max_size=10,
-    )
-)
-def test_batch_agrees_with_scalar_everywhere(data):
-    tasks = [
-        RealTimeTask(name=f"t{i:02d}", wcet=c, period=t)
-        for i, (c, t) in enumerate(data)
-    ]
-    scalar = core_response_times(tasks)
-    batch = core_response_times_batch(tasks)
-    for name in scalar:
-        if math.isinf(scalar[name]):
-            assert math.isinf(batch[name])
-        else:
-            assert abs(scalar[name] - batch[name]) <= 1e-9

@@ -17,6 +17,7 @@ from repro.analysis.schedulability import (
     security_schedulable_on_core,
     utilization_test,
 )
+from repro.errors import ConfigError
 from repro.model.platform import Platform
 from repro.model.system import Partition
 from repro.model.task import RealTimeTask, SecurityTask, TaskSet
@@ -65,9 +66,10 @@ class TestAdmissionRegistry:
         assert callable(test)
         assert test([rt("a", 1, 100)])
 
-    def test_unknown_name_raises(self):
-        with pytest.raises(ValueError):
-            get_admission_test("magic")
+    @pytest.mark.parametrize("name", ["magic", "rta-batch"])
+    def test_unknown_name_raises(self, name):
+        with pytest.raises(ConfigError, match=name):
+            get_admission_test(name)
 
     def test_tests_ordered_by_permissiveness(self):
         # utilization ⊇ rta ⊇ hyperbolic ⊇ liu-layland on this set.

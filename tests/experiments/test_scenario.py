@@ -84,10 +84,11 @@ class TestParsing:
         with pytest.raises(ValidationError, match="alphabetical"):
             parse_scenario(document)
 
-    def test_unknown_admission_rejected(self):
+    @pytest.mark.parametrize("name", ["vibes", "rta-batch"])
+    def test_unknown_admission_rejected(self, name):
         document = _good_document()
-        document["grid"]["admission"] = ["vibes"]
-        with pytest.raises(ValidationError, match="vibes"):
+        document["grid"]["admission"] = [name]
+        with pytest.raises(ValidationError, match=name):
             parse_scenario(document)
 
     def test_empty_axis_rejected(self):

@@ -9,7 +9,8 @@ Usage::
 Both files are ``pytest-benchmark --benchmark-json`` outputs.  The
 pinned benchmarks cover the sweep engine's hot paths:
 
-* ``test_rta_batch`` — the vectorised admission-test kernel,
+* ``test_partition_sweep_fast`` — a fig2-style partition sweep through
+  the incremental exact-RTA admission state,
 * ``test_persistent_pool_fanout`` — multi-sweep fan-out through the
   persistent worker pool,
 * ``test_subprocess_executor_fanout`` — multi-sweep fan-out through
@@ -27,12 +28,11 @@ pinned benchmarks cover the sweep engine's hot paths:
   ablation harness's run-set expansion (config → swap-one variants →
   content-addressed ids) and the warm-cache re-scoring loop,
 * ``test_detection_scoring`` — indexed attack scoring over a simulated
-  schedule (the detection-latency sweep's per-attack hot path),
-* ``test_rta_grid_sweep`` / ``test_partition_sweep_fast`` — the
-  structure-of-arrays grid RTA kernel and the incremental-admission
-  partition sweep; these two — and the detection index against its
-  per-attack scan reference — are additionally held to *speedup
-  floors* against their in-run references (:data:`RATIO_GATES`).
+  schedule (the detection-latency sweep's per-attack hot path).
+
+The incremental-admission sweep and the detection index are
+additionally held to *speedup floors* against their in-run references
+(:data:`RATIO_GATES`).
 
 Raw means are meaningless across machines (the committed baseline was
 recorded on one box, CI runs on another), so every pinned mean is
@@ -68,8 +68,6 @@ from pathlib import Path
 
 #: Benchmark (function) names whose normalised means are gated.
 PINNED = (
-    "test_rta_batch",
-    "test_rta_grid_sweep",
     "test_partition_sweep_fast",
     "test_persistent_pool_fanout",
     "test_subprocess_executor_fanout",
@@ -90,8 +88,6 @@ CALIBRATION = "test_randfixedsum"
 #: ratio of their medians is machine-independent.  Each entry is
 #: ``(slow benchmark, fast benchmark, minimum slow/fast ratio)``.
 RATIO_GATES = (
-    # Grid RTA over a sweep's worth of cores vs the per-set scalar loop.
-    ("test_rta_scalar_sweep", "test_rta_grid_sweep", 10.0),
     # Fig2-style partition sweep: incremental admission vs rebuild-and-test.
     ("test_partition_sweep_generic", "test_partition_sweep_fast", 2.0),
     # Detection scoring: per-monitor sorted index vs the per-attack
