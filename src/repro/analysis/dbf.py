@@ -18,6 +18,7 @@ from __future__ import annotations
 import math
 from typing import Iterable, Iterator, Sequence
 
+from repro.analysis.hyperperiod import hyperperiod
 from repro.model.platform import Platform
 from repro.model.task import RealTimeTask
 
@@ -73,18 +74,26 @@ def _necessary_horizon(tasks: Sequence[RealTimeTask], capacity: float) -> float:
     which is non-positive for
     ``t ≥ Σ U_i (T_i − D_i) / (capacity − U)``.
     """
+    largest_deadline = max((task.deadline for task in tasks), default=0.0)
+    # Also, whenever U ≤ capacity, ``DBF(t + H) = DBF(t) + U·H`` for the
+    # hyperperiod ``H``, so ``Σ DBF(t) − capacity·t`` never exceeds its
+    # values up to one hyperperiod past the largest deadline.  That is
+    # the only finite horizon at full utilisation (which the caller
+    # reaches only within round-off of it), and the shorter one when
+    # ``U`` sits a round-off below the capacity.
+    try:
+        periodic = hyperperiod(task.period for task in tasks) + largest_deadline
+    except OverflowError:
+        periodic = math.inf
     total_u = sum(task.utilization for task in tasks)
     if total_u >= capacity:
-        # Utilisation alone exceeds the capacity: the condition fails in
-        # the limit, so any horizon covering one hyper-step is enough for
-        # the caller to detect it; we simply return the largest deadline.
-        return max((task.deadline for task in tasks), default=0.0)
+        # No representable hyperperiod: check one deadline window.
+        return periodic if math.isfinite(periodic) else largest_deadline
     slack_sum = sum(
         task.utilization * (task.period - task.deadline) for task in tasks
     )
     bound = slack_sum / (capacity - total_u)
-    largest_deadline = max((task.deadline for task in tasks), default=0.0)
-    return max(bound, largest_deadline)
+    return min(max(bound, largest_deadline), periodic)
 
 
 def necessary_condition(
