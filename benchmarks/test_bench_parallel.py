@@ -33,30 +33,15 @@ from repro.experiments.pool import WorkerPool
 #: single-core CI boxes measure overhead honestly, not oversubscription).
 _WORKERS = min(4, os.cpu_count() or 1)
 
-#: Timed repetitions per leg; each leg reports its fastest, so one run
-#: slowed by a busy neighbour on a shared machine does not decide a ratio.
-_ROUNDS = 3
-
 
 def _payload_bytes(result) -> bytes:
     return json.dumps(result.payloads, sort_keys=True).encode()
 
 
-def _best_of(rounds, run):
-    """Run ``run()`` ``rounds`` times; its last result and the fastest
-    wall time."""
-    best = float("inf")
-    for _ in range(rounds):
-        start = time.perf_counter()
-        result = run()
-        best = min(best, time.perf_counter() - start)
-    return result, best
-
-
 def _mini_spec(scale):
     """One Fig. 2 panel (2 cores) at a sweep size that takes seconds."""
     bench_scale = scale.with_overrides(
-        tasksets_per_point=max(40, scale.tasksets_per_point // 2),
+        tasksets_per_point=max(12, scale.tasksets_per_point // 2),
         utilization_step=0.1,
         utilization_start=0.1,
         utilization_stop=0.9,
@@ -71,10 +56,13 @@ def test_parallel_sweep_speedup(benchmark, scale):
     serial = benchmark.pedantic(
         serial_engine.run, args=(spec,), rounds=1, iterations=1
     )
-    serial_again, serial_s = _best_of(_ROUNDS, lambda: serial_engine.run(spec))
-    parallel, parallel_s = _best_of(
-        _ROUNDS, lambda: SweepEngine(workers=_WORKERS).run(spec)
-    )
+    start = time.perf_counter()
+    serial_again = serial_engine.run(spec)
+    serial_s = time.perf_counter() - start
+
+    start = time.perf_counter()
+    parallel = SweepEngine(workers=_WORKERS).run(spec)
+    parallel_s = time.perf_counter() - start
 
     speedup = serial_s / parallel_s if parallel_s > 0 else float("inf")
     print()
@@ -182,11 +170,10 @@ def test_cache_hit_latency(scale, tmp_path):
     cold = cold_engine.run(spec)
     cold_s = time.perf_counter() - start
 
-    # Each warm round opens the store afresh, as a new process would.
-    warm, warm_s = _best_of(
-        _ROUNDS,
-        lambda: SweepEngine(workers=1, cache=ResultCache(tmp_path)).run(spec),
-    )
+    warm_engine = SweepEngine(workers=1, cache=ResultCache(tmp_path))
+    start = time.perf_counter()
+    warm = warm_engine.run(spec)
+    warm_s = time.perf_counter() - start
 
     print()
     print(

@@ -16,9 +16,9 @@ deadline form so the analysis substrate is complete.
 from __future__ import annotations
 
 import math
+from fractions import Fraction
 from typing import Iterable, Iterator, Sequence
 
-from repro.analysis.hyperperiod import hyperperiod
 from repro.model.platform import Platform
 from repro.model.task import RealTimeTask
 
@@ -66,6 +66,25 @@ def dbf_check_points(
     yield from sorted(points)
 
 
+#: Check points Eq. (1) may scan when only a hyperperiod bounds it.
+_MAX_CHECK_POINTS = 100_000
+
+
+def _exact_hyperperiod(tasks: Sequence[RealTimeTask]) -> Fraction:
+    """The exact LCM of the periods.
+
+    Every float is a dyadic rational, so the LCM always exists: the LCM
+    of the numerators over the GCD of the denominators.  Real-valued,
+    non-harmonic periods make it astronomically large.
+    """
+    numerator, denominator = 1, 0
+    for task in tasks:
+        period = Fraction(task.period)
+        numerator = math.lcm(numerator, period.numerator)
+        denominator = math.gcd(denominator, period.denominator)
+    return Fraction(numerator, denominator)
+
+
 def _necessary_horizon(tasks: Sequence[RealTimeTask], capacity: float) -> float:
     """A finite horizon beyond which Eq. (1) cannot newly fail.
 
@@ -73,22 +92,25 @@ def _necessary_horizon(tasks: Sequence[RealTimeTask], capacity: float) -> float:
     ``Σ DBF(t) − capacity·t ≤ Σ U_i (T_i − D_i) − (capacity − U)·t``,
     which is non-positive for
     ``t ≥ Σ U_i (T_i − D_i) / (capacity − U)``.
+
+    Also, for the exact hyperperiod ``H``, ``DBF(t + H) ≤ DBF(t) + U·H``,
+    so whenever ``U ≤ capacity`` the excess ``Σ DBF(t) − capacity·t``
+    never exceeds its values up to ``H`` past the largest deadline.
+    That horizon is used when it holds at most
+    :data:`_MAX_CHECK_POINTS` check points: it is the only finite one
+    at full utilisation, and the shorter one when ``U`` sits a
+    round-off below the capacity (where the bound above explodes).  At
+    full utilisation with a larger hyperperiod the scan stops after
+    that many check points, so it can miss a later overload.
     """
     largest_deadline = max((task.deadline for task in tasks), default=0.0)
-    # Also, whenever U ≤ capacity, ``DBF(t + H) = DBF(t) + U·H`` for the
-    # hyperperiod ``H``, so ``Σ DBF(t) − capacity·t`` never exceeds its
-    # values up to one hyperperiod past the largest deadline.  That is
-    # the only finite horizon at full utilisation (which the caller
-    # reaches only within round-off of it), and the shorter one when
-    # ``U`` sits a round-off below the capacity.
-    try:
-        periodic = hyperperiod(task.period for task in tasks) + largest_deadline
-    except OverflowError:
-        periodic = math.inf
+    points_per_unit = sum(1.0 / task.period for task in tasks)
+    budget = max(largest_deadline, _MAX_CHECK_POINTS / points_per_unit)
+    periodic = _exact_hyperperiod(tasks) + Fraction(largest_deadline)
+    periodic = float(periodic) if periodic <= budget else math.inf
     total_u = sum(task.utilization for task in tasks)
     if total_u >= capacity:
-        # No representable hyperperiod: check one deadline window.
-        return periodic if math.isfinite(periodic) else largest_deadline
+        return min(periodic, budget)
     slack_sum = sum(
         task.utilization * (task.period - task.deadline) for task in tasks
     )
@@ -105,7 +127,9 @@ def necessary_condition(
     Returns ``True`` when the demand of ``tasks`` never exceeds the
     platform capacity ``M·t``; a ``False`` result proves the task set
     unfeasible on any partitioning (the paper discards such synthetic
-    task sets up front).
+    task sets up front).  At full utilisation with constrained
+    deadlines and a hyperperiod too long to scan, ``True`` only covers
+    the first :data:`_MAX_CHECK_POINTS` check points.
     """
     task_list = list(tasks)
     capacity = float(

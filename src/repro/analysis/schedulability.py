@@ -76,9 +76,8 @@ def utilization_test(tasks: Sequence[RealTimeTask]) -> bool:
     return sum(task.utilization for task in tasks) <= 1.0 + 1e-12
 
 
-def rta_test(tasks: Sequence[RealTimeTask]) -> bool:
-    """Exact RM schedulability via response-time analysis (default)."""
-    return rta_schedulable(tasks)
+#: Exact RM schedulability via response-time analysis (the default).
+rta_test: AdmissionTest = rta_schedulable
 
 
 _TESTS: dict[str, AdmissionTest] = {

@@ -318,17 +318,92 @@ def test_necessary_condition_matches_scan_over_hyperperiod(tasks, cores):
     assert necessary_condition(tasks, cores) == expected
 
 
-def test_necessary_condition_catches_late_overload_at_full_utilisation():
-    """``U = M`` exactly, and demand first exceeds ``2·t`` at ``t = 16``,
-    twice the largest deadline."""
-    tasks = [
-        RealTimeTask(name="a", wcet=5.0, period=8.0),
-        RealTimeTask(name="b", wcet=7.0, period=8.0),
-        RealTimeTask(name="c", wcet=3.0, period=6.0, deadline=4.0),
-    ]
-    assert total_demand(tasks, 16.0) > 2 * 16.0
-    assert all(total_demand(tasks, float(t)) <= 2 * t for t in range(1, 16))
-    assert not necessary_condition(tasks, 2)
+def _first_exact_overload(tasks, cores, last_job):
+    """The first absolute deadline (exact arithmetic, jobs ``< last_job``
+    per task) at which demand exceeds ``cores·t``, or ``None``."""
+
+    def demand(t):
+        total = Fraction(0)
+        for task in tasks:
+            window = (t - Fraction(task.deadline)) / Fraction(task.period)
+            total += max(0, math.floor(window) + 1) * Fraction(task.wcet)
+        return total
+
+    deadlines = sorted(
+        {
+            Fraction(task.deadline) + k * Fraction(task.period)
+            for task in tasks
+            for k in range(last_job)
+        }
+    )
+    return next((t for t in deadlines if demand(t) > cores * t), None)
+
+
+_OFF_GRID = 1.0 + 2.0**-11
+_REAL_PERIODS = (12.3456789, 45.678901, 98.7654321)
+
+
+@pytest.mark.parametrize(
+    "tasks, cores",
+    [
+        pytest.param(
+            [
+                RealTimeTask(name="a", wcet=5.0, period=8.0),
+                RealTimeTask(name="b", wcet=7.0, period=8.0),
+                RealTimeTask(name="c", wcet=3.0, period=6.0, deadline=4.0),
+            ],
+            2,
+            id="full-utilisation-integer",
+        ),
+        # Exact hyperperiod 2049; rounded to 1e-3 ticks it looks like 1.
+        pytest.param(
+            [
+                RealTimeTask(
+                    name="a",
+                    wcet=0.625244140625,
+                    period=_OFF_GRID,
+                    deadline=_OFF_GRID - 2.0**-13,
+                ),
+                RealTimeTask(
+                    name="b",
+                    wcet=0.375,
+                    period=1.0,
+                    deadline=_OFF_GRID - 2.0**-13 - 0.5,
+                ),
+            ],
+            1,
+            id="off-grid-periods",
+        ),
+        # U = 1 exactly; the exact hyperperiod is far too long to scan
+        # (rounded to 1e-3 it still holds ~4e9 check points), so only
+        # the check-point budget bounds the scan.
+        pytest.param(
+            [
+                RealTimeTask(
+                    name="a", wcet=_REAL_PERIODS[0] / 4, period=_REAL_PERIODS[0]
+                ),
+                RealTimeTask(
+                    name="b",
+                    wcet=_REAL_PERIODS[1] / 4,
+                    period=_REAL_PERIODS[1],
+                    deadline=_REAL_PERIODS[1] * 0.75,
+                ),
+                RealTimeTask(
+                    name="c", wcet=_REAL_PERIODS[2] / 2, period=_REAL_PERIODS[2]
+                ),
+            ],
+            1,
+            id="full-utilisation-real-periods",
+        ),
+    ],
+)
+def test_necessary_condition_catches_late_overload(tasks, cores):
+    """Demand first exceeds ``M·t`` well past the largest deadline."""
+    utilization = sum(Fraction(t.wcet) / Fraction(t.period) for t in tasks)
+    assert utilization <= cores
+    first = _first_exact_overload(tasks, cores, last_job=1100)
+    assert first is not None and first > max(t.deadline for t in tasks)
+    assert not necessary_condition(tasks, cores)
 
 
 # ---------------------------------------------------------- interference

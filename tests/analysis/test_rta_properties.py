@@ -78,11 +78,8 @@ def test_response_independent_of_own_period(wcet, periods, interferers):
     them.  Draws whose fixed point exceeds the smallest candidate
     period are discarded — there the *implicit deadline*, not the
     period's role in the recurrence, would (legitimately) differ.
-    Solving with that period as the limit discards them without
-    iterating to their fixed point, which for an interferer utilisation
-    a hair below 1 lies past the iteration cap.
     """
-    direct = response_time(wcet, interferers, limit=min(periods))
+    direct = response_time(wcet, interferers)
     assume(direct <= min(periods))
     higher = [
         RealTimeTask(name=f"hp{i:02d}", wcet=c, period=t)
