@@ -11,20 +11,23 @@
 from __future__ import annotations
 
 from repro.experiments.ablations import (
-    core_choice_ablation,
+    CoreChoiceAblationExperiment,
+    PartitioningAblationExperiment,
+    SolverAblationExperiment,
     extension_ablation,
     format_allocator_comparison,
     format_extension_ablation,
     format_search_ablation,
-    partitioning_ablation,
     search_ablation,
-    solver_ablation,
 )
 
 
 def test_solver_ablation(benchmark, scale):
     comparison = benchmark.pedantic(
-        solver_ablation, args=(scale,), rounds=1, iterations=1
+        SolverAblationExperiment().run_domain,
+        args=(scale,),
+        rounds=1,
+        iterations=1,
     )
     print()
     print(format_allocator_comparison(comparison, "Ablation: period solver"))
@@ -44,7 +47,10 @@ def test_solver_ablation(benchmark, scale):
 
 def test_core_choice_ablation(benchmark, scale):
     comparison = benchmark.pedantic(
-        core_choice_ablation, args=(scale,), rounds=1, iterations=1
+        CoreChoiceAblationExperiment().run_domain,
+        args=(scale,),
+        rounds=1,
+        iterations=1,
     )
     print()
     print(
@@ -84,7 +90,10 @@ def test_search_ablation(benchmark, scale):
 
 def test_partitioning_ablation(benchmark, scale):
     comparison = benchmark.pedantic(
-        partitioning_ablation, args=(scale,), rounds=1, iterations=1
+        PartitioningAblationExperiment().run_domain,
+        args=(scale,),
+        rounds=1,
+        iterations=1,
     )
     print()
     print(

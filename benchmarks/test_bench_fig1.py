@@ -11,7 +11,7 @@ from __future__ import annotations
 
 import numpy as np
 
-from repro.experiments.fig1 import format_fig1, run_fig1
+from repro.experiments.fig1 import Fig1Experiment, format_fig1
 
 #: The paper's reported mean-detection improvements, for the printout.
 PAPER_SPEEDUPS = {2: 19.81, 4: 27.23, 8: 29.75}
@@ -19,7 +19,7 @@ PAPER_SPEEDUPS = {2: 19.81, 4: 27.23, 8: 29.75}
 
 def test_fig1_regeneration(benchmark, scale):
     result = benchmark.pedantic(
-        run_fig1, args=(scale,), rounds=1, iterations=1
+        Fig1Experiment().run_domain, args=(scale,), rounds=1, iterations=1
     )
 
     print()

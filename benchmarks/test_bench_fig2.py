@@ -9,12 +9,12 @@ saturates first).
 
 from __future__ import annotations
 
-from repro.experiments.fig2 import format_fig2, run_fig2
+from repro.experiments.fig2 import Fig2Experiment, format_fig2
 
 
 def test_fig2_regeneration(benchmark, scale):
     result = benchmark.pedantic(
-        run_fig2, args=(scale,), rounds=1, iterations=1
+        Fig2Experiment().run_domain, args=(scale,), rounds=1, iterations=1
     )
 
     print()

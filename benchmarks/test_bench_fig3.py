@@ -8,12 +8,12 @@ at high utilisation, with degradation "no more than 22 %".
 
 from __future__ import annotations
 
-from repro.experiments.fig3 import format_fig3, run_fig3
+from repro.experiments.fig3 import Fig3Experiment, format_fig3
 
 
 def test_fig3_regeneration(benchmark, scale):
     result = benchmark.pedantic(
-        run_fig3, args=(scale,), rounds=1, iterations=1
+        Fig3Experiment().run_domain, args=(scale,), rounds=1, iterations=1
     )
 
     print()

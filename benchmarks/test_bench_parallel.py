@@ -1,13 +1,16 @@
 """Bench: the sweep engine — serial vs parallel vs cache-hit.
 
-Three properties of the engine are measured on a Fig. 1-sized
-acceptance mini-sweep (one panel's worth of utilisation points):
+Properties of the engine measured on a Fig. 1-sized acceptance
+mini-sweep (one panel's worth of utilisation points):
 
-* a parallel run returns **byte-identical** payloads to the serial
-  run (asserted unconditionally);
+* every round of the serial leg and of the pooled leg returns
+  **byte-identical** payloads to one serial reference run (asserted
+  unconditionally, here in the test suite);
 * with ≥ 2 CPUs, fanning points over workers is measurably faster
-  than the serial run (asserted when the hardware can show it;
-  reported either way);
+  than the serial run.  That is a wall-clock property, so it is not
+  asserted here: the serial and pool legs are separate benchmarks and
+  ``tools/check_bench.py`` gates the ratio of their medians
+  (``RATIO_GATES``);
 * a cache-warm rerun is an order of magnitude faster than computing
   (it reads one shard index plus a few records) and returns identical
   payloads;
@@ -24,10 +27,13 @@ import json
 import os
 import time
 
-from repro.experiments.cache import ResultCache
+import pytest
+
+from repro.executors import PoolExecutor
 from repro.experiments.fig2 import fig2_sweep_spec
 from repro.experiments.parallel import SweepEngine, SweepSpec
 from repro.experiments.pool import WorkerPool
+from repro.experiments.store import ResultStore
 
 #: Workers for the parallel leg (capped by the visible CPU count so
 #: single-core CI boxes measure overhead honestly, not oversubscription).
@@ -49,42 +55,46 @@ def _mini_spec(scale):
     return fig2_sweep_spec(2, bench_scale)
 
 
-def test_parallel_sweep_speedup(benchmark, scale):
-    spec = _mini_spec(scale)
+#: Measured rounds per leg: the gate compares per-leg medians, so a
+#: single slow round under suite load cannot flip it.
+_LEG_ROUNDS = 5
 
-    serial_engine = SweepEngine(workers=1)
-    serial = benchmark.pedantic(
-        serial_engine.run, args=(spec,), rounds=1, iterations=1
+
+@pytest.fixture(scope="module")
+def serial_reference(scale) -> bytes:
+    """Payload bytes of one serial run of the mini-sweep."""
+    return _payload_bytes(SweepEngine(workers=1).run(_mini_spec(scale)))
+
+
+def _timed_leg(benchmark, engine, spec, warmup_rounds=0) -> list[bytes]:
+    """Benchmark ``engine.run(spec)``; the payload bytes of each round."""
+    rounds: list[bytes] = []
+
+    def leg():
+        rounds.append(_payload_bytes(engine.run(spec)))
+
+    benchmark.pedantic(
+        leg, rounds=_LEG_ROUNDS, iterations=1, warmup_rounds=warmup_rounds
     )
-    start = time.perf_counter()
-    serial_again = serial_engine.run(spec)
-    serial_s = time.perf_counter() - start
+    return rounds
 
-    start = time.perf_counter()
-    parallel = SweepEngine(workers=_WORKERS).run(spec)
-    parallel_s = time.perf_counter() - start
 
-    speedup = serial_s / parallel_s if parallel_s > 0 else float("inf")
+def test_parallel_sweep_serial(benchmark, scale, serial_reference):
+    """Serial leg of the fan-out ratio gate; every round (serial and
+    serial-again) is byte-identical to the reference."""
+    rounds = _timed_leg(benchmark, SweepEngine(workers=1), _mini_spec(scale))
+    assert rounds and set(rounds) == {serial_reference}
+
+
+def test_parallel_sweep_pool(benchmark, scale, serial_reference):
+    """Pool leg of the fan-out ratio gate (the shared pool, ``_WORKERS``
+    wide; the warm-up round absorbs its one spawn); every pooled round
+    is byte-identical to the serial reference."""
+    engine = SweepEngine(workers=_WORKERS)
+    rounds = _timed_leg(benchmark, engine, _mini_spec(scale), warmup_rounds=1)
+    assert rounds and set(rounds) == {serial_reference}
     print()
-    print(
-        f"serial {serial_s:.2f}s vs parallel({_WORKERS}) {parallel_s:.2f}s "
-        f"→ speedup ×{speedup:.2f} on {os.cpu_count()} CPU(s)"
-    )
-
-    # Correctness is hardware-independent: identical bytes, all modes.
-    assert _payload_bytes(serial) == _payload_bytes(serial_again)
-    assert _payload_bytes(serial) == _payload_bytes(parallel)
-
-    if (os.cpu_count() or 1) >= 2 and _WORKERS >= 2:
-        # With real cores behind the pool the fan-out must win.
-        assert speedup > 1.1, (
-            f"parallel sweep not faster: ×{speedup:.2f} "
-            f"({_WORKERS} workers, {os.cpu_count()} CPUs)"
-        )
-    else:
-        # Single visible CPU: only require that pool overhead stays
-        # within a factor of two of the serial run.
-        assert parallel_s < serial_s * 2.0
+    print(f"pool leg: {_WORKERS} worker(s) on {os.cpu_count()} CPU(s)")
 
 
 #: A ``repro all --scale smoke``-shaped batch: every paper experiment
@@ -116,13 +126,15 @@ def _run_with_fork_per_sweep(specs) -> list:
     results = []
     for spec in specs:
         with WorkerPool(_FANOUT_WORKERS) as pool:
-            results.append(SweepEngine(pool=pool).run(spec))
+            engine = SweepEngine(executor=PoolExecutor(pool=pool))
+            results.append(engine.run(spec))
     return results
 
 
 def _run_with_persistent_pool(specs) -> list:
     with WorkerPool(_FANOUT_WORKERS) as pool:
-        return [SweepEngine(pool=pool).run(spec) for spec in specs]
+        engine = SweepEngine(executor=PoolExecutor(pool=pool))
+        return [engine.run(spec) for spec in specs]
 
 
 def test_persistent_pool_fanout(benchmark):
@@ -165,12 +177,12 @@ def test_persistent_pool_fanout(benchmark):
 def test_cache_hit_latency(scale, tmp_path):
     spec = _mini_spec(scale)
 
-    cold_engine = SweepEngine(workers=1, cache=ResultCache(tmp_path))
+    cold_engine = SweepEngine(workers=1, cache=ResultStore(tmp_path))
     start = time.perf_counter()
     cold = cold_engine.run(spec)
     cold_s = time.perf_counter() - start
 
-    warm_engine = SweepEngine(workers=1, cache=ResultCache(tmp_path))
+    warm_engine = SweepEngine(workers=1, cache=ResultStore(tmp_path))
     start = time.perf_counter()
     warm = warm_engine.run(spec)
     warm_s = time.perf_counter() - start

@@ -7,12 +7,12 @@ monitoring it achieves is looser (longer periods → slower detection).
 
 from __future__ import annotations
 
-from repro.experiments.quality import format_quality, run_quality
+from repro.experiments.quality import QualityExperiment, format_quality
 
 
 def test_quality_regeneration(benchmark, scale):
     result = benchmark.pedantic(
-        run_quality, args=(scale,), rounds=1, iterations=1
+        QualityExperiment().run_domain, args=(scale,), rounds=1, iterations=1
     )
 
     print()

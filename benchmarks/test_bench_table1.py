@@ -7,11 +7,13 @@ parameters and the per-scheme allocation on the UAV platform.
 
 from __future__ import annotations
 
-from repro.experiments.table1 import format_table1, run_table1
+from repro.experiments.table1 import Table1Experiment, format_table1
 
 
 def test_table1_regeneration(benchmark):
-    rows = benchmark.pedantic(run_table1, rounds=1, iterations=1)
+    rows = benchmark.pedantic(
+        Table1Experiment().run_domain, rounds=1, iterations=1
+    )
 
     print()
     print(format_table1(rows))

@@ -33,7 +33,7 @@ from __future__ import annotations
 
 import dataclasses
 
-from repro.core.allocator import Allocation
+from repro.model.allocation import Allocation
 from repro.core.hydra import PERIOD_SOLVERS
 from repro.core.variants import _GreedyCoreAllocator
 from repro.errors import ConfigError

@@ -42,7 +42,6 @@ from operator import itemgetter
 from typing import Iterable
 
 from repro.analysis.rta import _MAX_ITERATIONS
-from repro.errors import ValidationError
 from repro.model.task import RealTimeTask
 
 __all__ = ["ExactAdmissionCore"]
@@ -77,11 +76,12 @@ def _fixed_point(
     """Lean twin of :func:`repro.analysis.rta.response_time`.
 
     Identical numerics — same left-to-right accumulation order, same
-    divergence precheck, same ``1e-12`` ceiling guard and convergence
-    tolerance — with the per-call validation stripped: the admission
-    state only ever feeds it ``(C, T)`` pairs it has already validated
-    on :meth:`ExactAdmissionCore.add`, and this runs tens of thousands
-    of times per utilisation sweep.
+    divergence precheck, same ``1e-12`` ceiling guard, convergence
+    tolerance and ``inf`` past the step budget — with the per-call
+    validation stripped: the admission state only ever feeds it
+    ``(C, T)`` pairs it has already validated on
+    :meth:`ExactAdmissionCore.add`, and this runs tens of thousands of
+    times per utilisation sweep.
 
     ``start`` warm-starts the iteration from a known lower bound on the
     fixed point (a cached response time from a smaller interferer set).
@@ -118,10 +118,7 @@ def _fixed_point(
         if nxt <= current + 1e-12:
             return current
         current = nxt
-    raise ValidationError(
-        "response-time iteration failed to converge; input parameters "
-        "are likely degenerate (extremely small periods vs. horizon)"
-    )
+    return math.inf  # not converged: conservative, as response_time
 
 
 class ExactAdmissionCore:

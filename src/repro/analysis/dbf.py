@@ -99,9 +99,14 @@ def _necessary_horizon(tasks: Sequence[RealTimeTask], capacity: float) -> float:
     That horizon is used when it holds at most
     :data:`_MAX_CHECK_POINTS` check points: it is the only finite one
     at full utilisation, and the shorter one when ``U`` sits a
-    round-off below the capacity (where the bound above explodes).  At
-    full utilisation with a larger hyperperiod the scan stops after
-    that many check points, so it can miss a later overload.
+    round-off below the capacity (where the bound above explodes).
+
+    The horizon never exceeds that budget of check points (nor drops
+    below the largest deadline).  When neither horizon above fits it —
+    full utilisation with a longer hyperperiod, or ``U`` a round-off
+    below the capacity with the hyperperiod unaffordable — the scan
+    stops after :data:`_MAX_CHECK_POINTS` check points, so it can miss
+    a later overload.  Verdicts whose horizon fits the budget are exact.
     """
     largest_deadline = max((task.deadline for task in tasks), default=0.0)
     points_per_unit = sum(1.0 / task.period for task in tasks)
@@ -109,13 +114,14 @@ def _necessary_horizon(tasks: Sequence[RealTimeTask], capacity: float) -> float:
     periodic = _exact_hyperperiod(tasks) + Fraction(largest_deadline)
     periodic = float(periodic) if periodic <= budget else math.inf
     total_u = sum(task.utilization for task in tasks)
-    if total_u >= capacity:
-        return min(periodic, budget)
-    slack_sum = sum(
-        task.utilization * (task.period - task.deadline) for task in tasks
-    )
-    bound = slack_sum / (capacity - total_u)
-    return min(max(bound, largest_deadline), periodic)
+    bound = math.inf
+    if total_u < capacity:
+        slack_sum = sum(
+            task.utilization * (task.period - task.deadline)
+            for task in tasks
+        )
+        bound = max(slack_sum / (capacity - total_u), largest_deadline)
+    return min(bound, periodic, budget)
 
 
 def necessary_condition(
@@ -127,9 +133,10 @@ def necessary_condition(
     Returns ``True`` when the demand of ``tasks`` never exceeds the
     platform capacity ``M·t``; a ``False`` result proves the task set
     unfeasible on any partitioning (the paper discards such synthetic
-    task sets up front).  At full utilisation with constrained
-    deadlines and a hyperperiod too long to scan, ``True`` only covers
-    the first :data:`_MAX_CHECK_POINTS` check points.
+    task sets up front).  With constrained deadlines, a hyperperiod too
+    long to scan, and ``U`` at the capacity or a round-off below it,
+    ``True`` only covers the first :data:`_MAX_CHECK_POINTS` check
+    points.
     """
     task_list = list(tasks)
     capacity = float(

@@ -59,6 +59,9 @@ def response_time(
     limit:
         Abandon the iteration once the response time exceeds this value
         (typically the task's deadline); returns ``inf`` in that case.
+        ``inf`` is also returned when the iteration has not converged
+        after ``_MAX_ITERATIONS`` steps (interferer utilisation within
+        round-off of 1), so no input makes the analysis raise or hang.
     blocking:
         Optional blocking term (e.g. from non-preemptive lower-priority
         execution); added once, outside the ceiling terms.
@@ -93,10 +96,11 @@ def response_time(
         if nxt <= current + 1e-12:
             return current
         current = nxt
-    raise ValidationError(
-        "response-time iteration failed to converge; input parameters are "
-        "likely degenerate (extremely small periods vs. horizon)"
-    )
+    # Still climbing after the step budget: interferer utilisation a
+    # round-off below 1 puts the fixed point astronomically far out
+    # (one interferer (30 − 4e-15, 30) needs ~1e14 steps).  ``inf`` is
+    # the conservative answer — it rejects the task, never admits one.
+    return math.inf
 
 
 def response_time_env(

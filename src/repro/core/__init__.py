@@ -14,10 +14,10 @@ from repro.core.advice import (
     diagnose,
     max_security_scale,
 )
-from repro.core.allocator import (
+from repro.core.allocator import Allocator
+from repro.model.allocation import (
     Allocation,
     AllocationResult,
-    Allocator,
     SecurityAssignment,
     as_allocation,
 )

@@ -4,8 +4,7 @@ The result types (:class:`~repro.model.allocation.SecurityAssignment`,
 :class:`~repro.model.allocation.Allocation`,
 :class:`~repro.model.allocation.AllocationResult`) live in
 :mod:`repro.model.allocation` — they are pure data shared by every
-layer; this module keeps re-exporting them so pre-existing imports
-(``from repro.core.allocator import Allocation``) stay valid.
+layer.
 
 What lives *here* is the behavioural contract: the :class:`Allocator`
 ABC every allocation scheme in the paper (HYDRA, SingleCore, OPT), every
@@ -17,21 +16,10 @@ from __future__ import annotations
 
 import abc
 
-from repro.model.allocation import (  # noqa: F401 - compat re-exports
-    Allocation,
-    AllocationResult,
-    SecurityAssignment,
-    as_allocation,
-)
+from repro.model.allocation import Allocation
 from repro.model.system import SystemModel
 
-__all__ = [
-    "SecurityAssignment",
-    "Allocation",
-    "AllocationResult",
-    "Allocator",
-    "as_allocation",
-]
+__all__ = ["Allocator"]
 
 
 class Allocator(abc.ABC):

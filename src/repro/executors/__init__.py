@@ -19,7 +19,7 @@ Built-ins:
     In-process, in-order — the golden reference.
 ``pool``
     The process-wide persistent :class:`~repro.experiments.pool.
-    WorkerPool` (the engine's historic ``workers=N`` path).
+    WorkerPool` (the engine's default for ``workers > 1``).
 ``subprocess-workers``
     Long-lived worker subprocesses speaking newline-delimited JSON,
     with heartbeats, per-task timeouts, and bounded retry of points

@@ -3,8 +3,9 @@
 ``serial`` computes points on the calling thread — the golden
 reference every other backend is pinned against.  ``pool`` wraps the
 existing process-wide :class:`~repro.experiments.pool.WorkerPool`
-(or an injected one), so choosing it is exactly the engine's historic
-``workers=N`` behaviour, now addressable by name.
+(or an injected one); it is what an engine given ``workers=N > 1`` and
+no explicit backend resolves to, just as ``serial`` is its default for
+one worker.
 """
 
 from __future__ import annotations
@@ -42,9 +43,10 @@ class PoolExecutor(Executor):
 
     Without an injected pool this lazily attaches to the process-wide
     shared pool (:func:`repro.experiments.pool.get_shared_pool`) on
-    the first batch — the engine's historic parallel path.  The pool's
-    owner keeps its lifecycle: :meth:`close` never shuts down the
-    shared pool (the CLI/atexit hook reaps it) nor an injected one.
+    the first multi-point batch — the engine's default parallel path.
+    The pool's owner keeps its lifecycle: :meth:`close` never shuts
+    down the shared pool (the CLI/atexit hook reaps it) nor an
+    injected one.
     """
 
     name = "pool"
@@ -75,8 +77,11 @@ class PoolExecutor(Executor):
             execute_point,
         )
 
-        pool = self._pool()
-        if pool.max_workers == 1 or len(indices) == 1:
+        # A lone point never asks for the pool: running it inline is
+        # cheaper than a round trip, and merely resolving the shared
+        # pool would create it.
+        pool = None if len(indices) <= 1 else self._pool()
+        if pool is None or pool.max_workers == 1:
             return [(i, execute_point(spec, i)) for i in indices]
         computed = pool.map(
             _execute_point_job, repeat(spec.to_dict()), indices,
@@ -104,9 +109,8 @@ def _make_serial(workers: int | None = None) -> SerialExecutor:
     title="Process-wide persistent fork pool (the default parallel path)",
     description=(
         "Fans points over the shared WorkerPool — one lazy fork per "
-        "process, reused by every sweep.  Identical to passing "
-        "--workers N without an --executor: the engine's historic "
-        "parallel behaviour, addressable by name."
+        "process, reused by every sweep.  What --workers N (N > 1) "
+        "without an --executor resolves to."
     ),
     tags=("local",),
 )

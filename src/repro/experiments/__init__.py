@@ -22,12 +22,12 @@
 * :mod:`repro.experiments.pool` — the persistent :class:`WorkerPool`
   shared across sweeps (one fork per CLI invocation/pytest session).
 * :mod:`repro.experiments.store` — the sharded, append-only
-  :class:`ResultStore` (cache format v2; migrates v1 automatically).
-* :mod:`repro.experiments.cache` — compatibility wrapper over the
-  store (the deprecated ``ResultCache`` name).
+  :class:`ResultStore` (cache format v2).
 
-The ``run_X``/``format_X`` module functions remain as thin deprecated
-shims over the corresponding :class:`Experiment` classes.
+Run an experiment through the registry —
+``get_experiment("fig2").run(scale, engine)`` — or, for the domain
+object the ``format_X`` renderers take, through
+:meth:`Experiment.run_domain`.
 """
 
 from repro.experiments.ablations import (
@@ -38,14 +38,11 @@ from repro.experiments.ablations import (
     SearchAblationExperiment,
     SearchAblationResult,
     SolverAblationExperiment,
-    core_choice_ablation,
     extension_ablation,
     format_allocator_comparison,
     format_extension_ablation,
     format_search_ablation,
-    partitioning_ablation,
     search_ablation,
-    solver_ablation,
 )
 from repro.experiments.api import (
     Experiment,
@@ -55,7 +52,6 @@ from repro.experiments.api import (
     Point,
     RawRun,
 )
-from repro.experiments.cache import ResultCache
 from repro.experiments.config import SCALES, ExperimentScale, get_scale
 from repro.experiments.store import ResultStore
 from repro.experiments.fig1 import (
@@ -63,19 +59,16 @@ from repro.experiments.fig1 import (
     Fig1Result,
     build_uav_systems,
     format_fig1,
-    run_fig1,
 )
 from repro.experiments.fig2 import (
     Fig2Experiment,
     Fig2Result,
     format_fig2,
-    run_fig2,
 )
 from repro.experiments.fig3 import (
     Fig3Experiment,
     Fig3Result,
     format_fig3,
-    run_fig3,
 )
 from repro.experiments.parallel import (
     SweepEngine,
@@ -92,7 +85,6 @@ from repro.experiments.quality import (
     QualityExperiment,
     QualityResult,
     format_quality,
-    run_quality,
 )
 from repro.experiments.registry import (
     UnknownExperimentError,
@@ -111,7 +103,6 @@ from repro.experiments.scenario import (
 from repro.experiments.table1 import (
     Table1Experiment,
     format_table1,
-    run_table1,
 )
 
 __all__ = [
@@ -131,7 +122,6 @@ __all__ = [
     "ExperimentScale",
     "SCALES",
     "get_scale",
-    "ResultCache",
     "ResultStore",
     "SweepEngine",
     "SweepResult",
@@ -156,27 +146,19 @@ __all__ = [
     "ScenarioResult",
     "load_scenario",
     "parse_scenario",
-    # deprecated shims (kept for downstream callers)
-    "run_table1",
+    # domain results and renderers
     "format_table1",
-    "run_fig1",
     "format_fig1",
     "build_uav_systems",
     "Fig1Result",
-    "run_fig2",
     "format_fig2",
     "Fig2Result",
-    "run_fig3",
     "format_fig3",
     "Fig3Result",
-    "run_quality",
     "format_quality",
     "QualityResult",
-    "solver_ablation",
-    "core_choice_ablation",
     "search_ablation",
     "extension_ablation",
-    "partitioning_ablation",
     "AllocatorComparison",
     "SearchAblationResult",
     "format_allocator_comparison",

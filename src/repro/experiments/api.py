@@ -51,8 +51,6 @@ from repro.experiments.parallel import (
 if TYPE_CHECKING:  # pragma: no cover - typing only
     import numpy as np
 
-    from repro.experiments.pool import WorkerPool
-
 __all__ = [
     "RESULT_FORMAT",
     "ExperimentSpec",
@@ -395,12 +393,11 @@ class Experiment(ABC):
         self,
         scale: ExperimentScale | None = None,
         engine: SweepEngine | None = None,
-        pool: "WorkerPool | None" = None,
     ) -> Any:
         """Run the experiment and return the *domain* result object
-        (what the deprecated ``run_X`` shims hand back)."""
+        (what :meth:`render_domain` formats)."""
         scale = scale or get_scale()
-        engine = engine or SweepEngine(pool=pool)
+        engine = engine or SweepEngine()
         results = tuple(engine.run(spec) for spec in self.sweeps(scale))
         return self.aggregate_domain(RawRun(sweeps=results, scale=scale))
 
@@ -408,18 +405,11 @@ class Experiment(ABC):
         self,
         scale: ExperimentScale | None = None,
         engine: SweepEngine | None = None,
-        pool: "WorkerPool | None" = None,
     ) -> ExperimentResult:
-        """Run the experiment end to end at ``scale`` through ``engine``.
-
-        ``pool`` is a convenience for the engine-less call form: a
-        :class:`~repro.experiments.pool.WorkerPool` to fan sweeps over
-        (its creator keeps ownership — the experiment never shuts it
-        down).  Ignored when ``engine`` is given, since an engine
-        already carries its execution strategy.
-        """
+        """Run the experiment end to end at ``scale`` through ``engine``
+        (a serial, uncached :class:`SweepEngine` when omitted)."""
         scale = scale or get_scale()
-        engine = engine or SweepEngine(pool=pool)
+        engine = engine or SweepEngine()
         results = tuple(engine.run(spec) for spec in self.sweeps(scale))
         return self.aggregate(RawRun(sweeps=results, scale=scale))
 

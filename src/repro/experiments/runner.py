@@ -21,7 +21,8 @@ import numpy as np
 
 from repro.allocators import get_allocator
 from repro.analysis.dbf import necessary_condition
-from repro.core.allocator import Allocation, Allocator
+from repro.core.allocator import Allocator
+from repro.model.allocation import Allocation
 from repro.core.singlecore import build_singlecore_system
 from repro.model.platform import Platform
 from repro.model.system import SystemModel

@@ -18,7 +18,7 @@ from repro.allocators import (
     run_allocator,
     unregister_allocator,
 )
-from repro.core.allocator import Allocation
+from repro.model.allocation import Allocation
 from repro.errors import ConfigError, ReproError
 
 

@@ -395,6 +395,29 @@ _REAL_PERIODS = (12.3456789, 45.678901, 98.7654321)
             1,
             id="full-utilisation-real-periods",
         ),
+        # The same set with U one round-off below 1: the utilisation
+        # bound Σ U_i (T_i − D_i) / (M − U) is ~1e16, so only the
+        # check-point budget keeps the scan finite (and in memory).
+        pytest.param(
+            [
+                RealTimeTask(
+                    name="a", wcet=_REAL_PERIODS[0] / 4, period=_REAL_PERIODS[0]
+                ),
+                RealTimeTask(
+                    name="b",
+                    wcet=_REAL_PERIODS[1] / 4,
+                    period=_REAL_PERIODS[1],
+                    deadline=_REAL_PERIODS[1] * 0.75,
+                ),
+                RealTimeTask(
+                    name="c",
+                    wcet=_REAL_PERIODS[2] / 2 * (1 - 2.0**-52),
+                    period=_REAL_PERIODS[2],
+                ),
+            ],
+            1,
+            id="round-off-below-full-utilisation",
+        ),
     ],
 )
 def test_necessary_condition_catches_late_overload(tasks, cores):

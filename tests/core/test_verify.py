@@ -4,7 +4,7 @@ from __future__ import annotations
 
 import pytest
 
-from repro.core.allocator import Allocation, SecurityAssignment
+from repro.model.allocation import Allocation, SecurityAssignment
 from repro.core.hydra import HydraAllocator
 from repro.core.nonpreemptive import NonPreemptiveHydraAllocator
 from repro.core.optimal import OptimalAllocator

@@ -14,7 +14,6 @@ from repro.experiments import (
     experiment_names,
     get_experiment,
     iter_experiments,
-    run_fig2,
 )
 from repro.experiments.api import RESULT_FORMAT, Experiment, RawRun
 from repro.experiments.config import SCALES
@@ -115,10 +114,11 @@ class TestProtocol:
             SMOKE
         )
 
-    def test_shim_equals_protocol_run(self):
-        via_protocol = Fig2Experiment().run_domain(SMOKE)
-        via_shim = run_fig2(SMOKE)
-        assert via_protocol == via_shim
+    def test_run_domain_equals_decoded_run(self):
+        experiment = Fig2Experiment()
+        domain = experiment.run_domain(SMOKE)
+        decoded = experiment.decode_data(experiment.run(SMOKE).data)
+        assert domain == decoded
 
     def test_render_rejects_foreign_result(self):
         result = Table1Experiment().run(SMOKE)

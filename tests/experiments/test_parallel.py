@@ -13,14 +13,12 @@ import json
 import pytest
 
 from repro.errors import ValidationError
-from repro.experiments.cache import ResultCache, cache_key
-from repro.experiments.store import ResultStore
+from repro.allocators import get_allocator
 from repro.experiments.config import SCALES
-from repro.experiments.fig2 import fig2_sweep_spec, run_fig2
+from repro.experiments.fig2 import Fig2Experiment, fig2_sweep_spec
 from repro.experiments.parallel import (
     SweepEngine,
     SweepSpec,
-    build_allocator,
     execute_point,
     outcome_from_dict,
     outcome_to_dict,
@@ -29,6 +27,7 @@ from repro.experiments.parallel import (
     synthetic_config_to_dict,
 )
 from repro.experiments.runner import run_acceptance_trial, spawn_streams
+from repro.experiments.store import ResultStore, cache_key
 from repro.taskgen.synthetic import SyntheticConfig
 
 
@@ -76,8 +75,8 @@ class TestDeterminism:
 
     def test_fig2_identical_across_worker_counts(self):
         smoke = SCALES["smoke"]
-        serial = run_fig2(smoke, engine=SweepEngine(workers=1))
-        parallel = run_fig2(smoke, engine=SweepEngine(workers=4))
+        serial = Fig2Experiment().run_domain(smoke, SweepEngine(workers=1))
+        parallel = Fig2Experiment().run_domain(smoke, SweepEngine(workers=4))
         assert serial == parallel
 
 
@@ -86,7 +85,7 @@ class TestCache:
         spec = _mini_spec()
         computed: list[int] = []
         engine = SweepEngine(
-            cache=ResultCache(tmp_path), on_point_computed=computed.append
+            cache=ResultStore(tmp_path), on_point_computed=computed.append
         )
         cold = engine.run(spec)
         assert sorted(computed) == list(range(len(spec.points)))
@@ -101,8 +100,8 @@ class TestCache:
 
     def test_parallel_run_reuses_serial_cache(self, tmp_path):
         spec = _mini_spec()
-        cold = SweepEngine(workers=1, cache=ResultCache(tmp_path)).run(spec)
-        warm_cache = ResultCache(tmp_path)
+        cold = SweepEngine(workers=1, cache=ResultStore(tmp_path)).run(spec)
+        warm_cache = ResultStore(tmp_path)
         warm = SweepEngine(workers=4, cache=warm_cache).run(spec)
         assert warm.stats.cached_points == len(spec.points)
         assert warm_cache.hits == len(spec.points)
@@ -113,7 +112,7 @@ class TestCache:
         extended = _mini_spec(points=3)
         assert extended.points[:2] == short.points
 
-        engine = SweepEngine(cache=ResultCache(tmp_path))
+        engine = SweepEngine(cache=ResultStore(tmp_path))
         engine.run(short)
         result = engine.run(extended)
         assert result.stats.cached_points == 2
@@ -127,7 +126,7 @@ class TestCache:
             points=spec.points,
             params=spec.params,
         )
-        engine = SweepEngine(cache=ResultCache(tmp_path))
+        engine = SweepEngine(cache=ResultStore(tmp_path))
         engine.run(spec)
         result = engine.run(other)
         assert result.stats.computed_points == len(other.points)
@@ -141,17 +140,17 @@ class TestCache:
         """Scribbling over the shard's record log downgrades the entry
         to a miss (recomputed), never to a wrong payload."""
         spec = _mini_spec(points=1)
-        cache = ResultCache(tmp_path)
+        cache = ResultStore(tmp_path)
         engine = SweepEngine(cache=cache)
         engine.run(spec)
         data = tmp_path / spec.kind / "data.jsonl"
         data.write_text(corruption)
-        rerun = SweepEngine(cache=ResultCache(tmp_path)).run(spec)
+        rerun = SweepEngine(cache=ResultStore(tmp_path)).run(spec)
         assert rerun.stats.computed_points == 1
 
     def test_clear_and_len(self, tmp_path):
         spec = _mini_spec(points=2)
-        cache = ResultCache(tmp_path)
+        cache = ResultStore(tmp_path)
         SweepEngine(cache=cache).run(spec)
         assert len(cache) == 2
         assert cache.clear() == 2
@@ -210,18 +209,20 @@ class TestSerialisationHelpers:
         )
         assert rebuilt == config
 
-    def test_build_allocator_known_specs(self):
+    def test_ablation_allocator_specs_resolve(self):
+        """Every scheme the solver/core-choice ablations sweep resolves
+        through the registry the ``allocator-comparison`` runner uses."""
         for spec in (
             "hydra", "hydra[exact-rta]", "hydra+lp", "first-feasible",
             "slackiest-core",
         ):
-            assert build_allocator(spec).name == spec
+            assert get_allocator(spec).name == spec
 
-    def test_build_allocator_unknown_spec(self):
+    def test_unknown_allocator_spec_names_known_ones(self):
         from repro.allocators import UnknownAllocatorError
 
         with pytest.raises(UnknownAllocatorError, match="known allocators"):
-            build_allocator("magic")
+            get_allocator("magic")
 
 
 class TestEngineConfig:
@@ -237,8 +238,8 @@ class TestEngineConfig:
         engine = SweepEngine(cache=str(tmp_path / "c"))
         assert isinstance(engine.cache, ResultStore)
 
-    def test_legacy_cache_instance_accepted(self, tmp_path):
-        cache = ResultCache(tmp_path)
+    def test_store_instance_accepted(self, tmp_path):
+        cache = ResultStore(tmp_path)
         assert SweepEngine(cache=cache).cache is cache
 
 
@@ -246,8 +247,8 @@ class TestFig1Degenerate:
     def test_single_core_only_scale_returns_empty_result(self):
         """core_counts=(1,) has no SingleCore-comparable panel; the
         pre-engine loop returned an empty result rather than raising."""
-        from repro.experiments.fig1 import run_fig1
+        from repro.experiments.fig1 import Fig1Experiment
 
         scale = SCALES["smoke"].with_overrides(core_counts=(1,))
-        result = run_fig1(scale)
+        result = Fig1Experiment().run_domain(scale)
         assert result.points == ()

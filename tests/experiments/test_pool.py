@@ -12,6 +12,7 @@ import json
 import pytest
 
 from repro.errors import ValidationError
+from repro.executors import PoolExecutor, SerialExecutor
 from repro.experiments import pool as pool_module
 from repro.experiments.parallel import SweepEngine, SweepSpec
 from repro.experiments.pool import (
@@ -135,6 +136,47 @@ class TestSharedPool:
 
 
 class TestEnginePlumbing:
+    def test_default_executor_follows_worker_count(self):
+        """One dispatch path: the engine always computes through an
+        executor — ``serial`` for one worker, ``pool`` for more, and
+        the pool one forks nothing until a multi-point batch."""
+        assert isinstance(SweepEngine(workers=1).executor, SerialExecutor)
+        assert isinstance(SweepEngine().executor, SerialExecutor)
+        engine = SweepEngine(workers=2)
+        assert isinstance(engine.executor, PoolExecutor)
+        assert engine.executor.workers == 2
+        assert pool_module._shared_pool is None  # constructing is free
+        engine.run(_calibration_spec(points=1))
+        assert pool_module._shared_pool is None  # one point: inline
+        engine.run(_calibration_spec(points=3))
+        assert get_shared_pool(2).spawn_count == 1
+
+    @pytest.mark.parametrize("cancellable", [False, True])
+    def test_every_computed_point_goes_through_the_executor(
+        self, cancellable
+    ):
+        class Recording(SerialExecutor):
+            def __init__(self):
+                self.batches: list[list[int]] = []
+
+            def run_points(self, spec, indices):
+                self.batches.append(list(indices))
+                return super().run_points(spec, indices)
+
+        executor = Recording()
+        spec = _calibration_spec(points=5)
+        engine = SweepEngine(
+            workers=2,
+            executor=executor,
+            should_cancel=(lambda: False) if cancellable else None,
+        )
+        result = engine.run(spec)
+        assert sorted(i for b in executor.batches for i in b) == list(
+            range(5)
+        )
+        assert len(executor.batches) == (3 if cancellable else 1)
+        assert _bytes(result) == _bytes(SweepEngine().run(spec))
+
     def test_engines_share_one_spawn_across_sweeps(self):
         """The whole point: N sweeps through M engines, one fork."""
         engines = [SweepEngine(workers=2) for _ in range(3)]
@@ -143,7 +185,9 @@ class TestEnginePlumbing:
             engine.run(_calibration_spec(seed=8))
         shared = get_shared_pool(2)
         assert shared.spawn_count == 1
-        assert all(engine.pool is shared for engine in engines)
+        assert all(
+            isinstance(engine.executor, PoolExecutor) for engine in engines
+        )
 
     def test_serial_engine_never_touches_the_pool(self):
         SweepEngine(workers=1).run(_calibration_spec())
@@ -155,7 +199,7 @@ class TestEnginePlumbing:
 
     def test_explicit_pool_is_used_and_not_shut_down(self):
         with WorkerPool(2) as pool:
-            engine = SweepEngine(pool=pool)
+            engine = SweepEngine(executor=PoolExecutor(pool=pool))
             assert engine.workers == 2
             engine.run(_calibration_spec())
             assert pool.spawn_count == 1
@@ -164,14 +208,14 @@ class TestEnginePlumbing:
 
     def test_explicit_serial_pool_runs_inline(self):
         pool = WorkerPool(1)
-        SweepEngine(pool=pool).run(_calibration_spec())
+        SweepEngine(executor=PoolExecutor(pool=pool)).run(_calibration_spec())
         assert pool.spawn_count == 0
 
     def test_pooled_run_is_byte_identical_to_serial(self):
         spec = _calibration_spec(points=6)
         serial = SweepEngine(workers=1).run(spec)
         with WorkerPool(2) as pool:
-            pooled = SweepEngine(pool=pool).run(spec)
+            pooled = SweepEngine(executor=PoolExecutor(pool=pool)).run(spec)
         assert _bytes(serial) == _bytes(pooled)
 
     def test_grown_shared_pool_is_not_revived_as_an_orphan(self):
@@ -184,26 +228,29 @@ class TestEnginePlumbing:
         grown = get_shared_pool(4)
         assert grown is not old and not old.active
         engine.run(_calibration_spec(seed=9))
-        assert engine.pool is grown
+        assert grown.spawn_count == 1  # the replacement did the work
         assert not old.active  # the orphan was never respawned
         assert old.spawn_count == 1
 
-    def test_run_shims_thread_pool_through(self):
-        """The deprecated run_X shims accept pool= and leave its
-        lifecycle to the caller."""
+    def test_experiment_runs_over_an_injected_pool(self):
+        """Experiments take the pool through the engine's executor and
+        leave its lifecycle to the caller."""
         from repro.experiments.config import SCALES
-        from repro.experiments.fig2 import run_fig2
+        from repro.experiments.fig2 import Fig2Experiment
 
         smoke = SCALES["smoke"]
         pool = WorkerPool(1)
-        assert run_fig2(smoke, pool=pool) == run_fig2(smoke)
+        engine = SweepEngine(executor=PoolExecutor(pool=pool))
+        assert Fig2Experiment().run_domain(smoke, engine) == (
+            Fig2Experiment().run_domain(smoke)
+        )
         assert pool.spawn_count == 0  # serial pool: inline, no fork
 
-    def test_pool_property_reflects_lazy_attachment(self):
+    def test_shared_pool_attaches_lazily(self):
         engine = SweepEngine(workers=2)
-        assert engine.pool is None
+        assert pool_module._shared_pool is None
         engine.run(_calibration_spec())
-        assert engine.pool is get_shared_pool(2)
+        assert get_shared_pool(2).spawn_count == 1
 
 
 class TestCalibrationRunner:

@@ -2,8 +2,8 @@
 
 Covers the storage contract the engine leans on — batched get/put,
 byte-exact JSON round trips, crash tolerance (torn lines, lost index),
-the typed fail-fast error on unusable roots — and the v1 migration
-path end to end.
+the typed fail-fast error on unusable roots — and the format marker
+that guards a root against foreign layouts.
 """
 
 from __future__ import annotations
@@ -13,12 +13,7 @@ import json
 import pytest
 
 from repro.errors import CacheError, ReproError, ValidationError
-from repro.experiments.store import (
-    STORE_FORMAT,
-    ResultStore,
-    cache_key,
-    write_v1_entry,
-)
+from repro.experiments.store import STORE_FORMAT, ResultStore, cache_key
 
 
 def _key(i: int) -> dict:
@@ -219,56 +214,40 @@ class TestReadonly:
         with pytest.raises(CacheError):
             store.put("demo", _key(9), _payload(9))
         with pytest.raises(CacheError):
-            store.migrate()
-        with pytest.raises(CacheError):
             store.gc()
         with pytest.raises(CacheError):
             store.clear()
 
 
-class TestMigration:
-    def _v1_dir(self, tmp_path, n: int = 4):
-        for i in range(n):
-            write_v1_entry(tmp_path, "demo", _key(i), _payload(i))
-        return tmp_path
+class TestFormatMarker:
+    def test_fresh_root_gets_the_marker_on_open(self, tmp_path):
+        root = tmp_path / "fresh"
+        ResultStore(root)
+        marker = json.loads((root / "store.json").read_text())
+        assert marker == {"format": STORE_FORMAT}
+        ResultStore(root)  # the marker it wrote passes its own check
 
-    def test_open_migrates_v1_automatically(self, tmp_path):
-        self._v1_dir(tmp_path)
-        store = ResultStore(tmp_path)
-        assert len(store) == 4
-        assert store.get("demo", _key(2)) == _payload(2)
-        # v1 files consumed, marker written: the scan never reruns.
-        assert store.pending_v1_entries() == 0
-        assert (tmp_path / "store.json").exists()
-        assert not list((tmp_path / "demo").glob("*[0-9a-f]*.json"))
-
-    def test_migrate_false_leaves_directory_untouched(self, tmp_path):
-        self._v1_dir(tmp_path)
-        store = ResultStore(tmp_path, migrate=False)
-        assert store.pending_v1_entries() == 4
+    def test_readonly_open_writes_no_marker(self, tmp_path):
+        ResultStore(tmp_path, readonly=True)
         assert not (tmp_path / "store.json").exists()
 
-    def test_explicit_migrate_reports_count(self, tmp_path):
-        self._v1_dir(tmp_path, 3)
-        store = ResultStore(tmp_path, migrate=False)
-        assert store.migrate() == 3
-        assert store.migrate() == 0  # idempotent
-
-    def test_corrupt_v1_entries_are_skipped(self, tmp_path):
-        self._v1_dir(tmp_path, 2)
-        bad = tmp_path / "demo" / ("f" * 64 + ".json")
-        bad.write_text("{ torn")
+    def test_leftover_v1_files_are_neither_read_nor_deleted(self, tmp_path):
+        """The retired JSON-per-point layout is ignored: its entries
+        are misses (the points recompute), and its files survive both
+        an open and a gc untouched."""
+        v1 = tmp_path / "demo" / f"{cache_key(_key(0))}.json"
+        v1.parent.mkdir(parents=True)
+        v1.write_text(json.dumps({"key": _key(0), "payload": _payload(0)}))
+        before = v1.read_bytes()
         store = ResultStore(tmp_path)
-        assert len(store) == 2
-
-    def test_migrated_keys_hit_without_recompute(self, tmp_path):
-        """The migration invariant: v1 keys == v2 keys, so a migrated
-        store serves the exact entries the v1 cache held."""
-        self._v1_dir(tmp_path)
-        store = ResultStore(tmp_path)
-        results = store.get_many("demo", [_key(i) for i in range(4)])
-        assert results == [_payload(i) for i in range(4)]
-        assert store.misses == 0
+        assert store.get("demo", _key(0)) is None
+        assert len(store) == 0
+        assert store.stats()["entries"] == 0
+        store.gc()
+        _fill(store, 2)
+        store.gc()
+        assert v1.read_bytes() == before
+        assert len(ResultStore(tmp_path)) == 2
 
 
 class TestMaintenance:
@@ -302,4 +281,3 @@ class TestMaintenance:
         assert stats["entries"] == 3
         assert stats["shards"]["demo"]["entries"] == 3
         assert stats["data_bytes"] > 0
-        assert stats["pending_v1_entries"] == 0

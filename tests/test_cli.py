@@ -302,16 +302,6 @@ class TestAblateCommand:
 
 
 class TestCacheCommand:
-    def _fill_v1(self, directory, n=2):
-        from repro.experiments.store import write_v1_entry
-
-        for i in range(n):
-            write_v1_entry(
-                directory, "demo",
-                {"format": 1, "kind": "demo", "index": i},
-                {"value": i},
-            )
-
     def test_stats_on_fresh_store(self, tmp_path, capsys):
         assert main(
             ["cache", "stats", "--cache-dir", str(tmp_path / "c")]
@@ -319,23 +309,26 @@ class TestCacheCommand:
         out = capsys.readouterr().out
         assert "0 entries" in out
 
-    def test_stats_reports_pending_v1_without_migrating(
-        self, tmp_path, capsys
-    ):
-        self._fill_v1(tmp_path)
+    def test_stats_ignores_leftover_v1_files(self, tmp_path, capsys):
+        """A retired JSON-per-point entry is not a store entry: stats
+        counts nothing, mentions no migration, and writes nothing."""
+        from repro.experiments.store import cache_key
+
+        key = {"format": 1, "kind": "demo", "index": 0}
+        (tmp_path / "demo").mkdir()
+        (tmp_path / "demo" / f"{cache_key(key)}.json").write_text(
+            json.dumps({"key": key, "payload": {"value": 0}})
+        )
         assert main(["cache", "stats", "--cache-dir", str(tmp_path)]) == 0
-        out = capsys.readouterr().out
-        assert "2 v1 entries pending migration" in out
+        out = capsys.readouterr().out.replace(str(tmp_path), "DIR")
+        assert "(v2): 0 entries" in out
+        assert "v1" not in out and "migrat" not in out
         assert not (tmp_path / "store.json").exists()  # stats is read-only
 
-    def test_migrate_ingests_v1(self, tmp_path, capsys):
-        self._fill_v1(tmp_path, 3)
-        assert main(["cache", "migrate", "--cache-dir", str(tmp_path)]) == 0
-        out = capsys.readouterr().out
-        assert "migrated 3 v1 entries" in out
-        assert (tmp_path / "store.json").exists()
-        assert main(["cache", "migrate", "--cache-dir", str(tmp_path)]) == 0
-        assert "migrated 0" in capsys.readouterr().out
+    def test_migrate_is_not_a_verb(self, capsys):
+        with pytest.raises(SystemExit):
+            build_parser().parse_args(["cache", "migrate"])
+        assert "invalid choice" in capsys.readouterr().err
 
     def test_gc_reports_summary(self, tmp_path, capsys):
         from repro.experiments.store import ResultStore
@@ -360,11 +353,10 @@ class TestCacheCommand:
         """A typoed --cache-dir must error, not report success on a
         silently created empty store."""
         target = tmp_path / "typoed-cahce"
-        for action in ("migrate", "gc"):
-            with pytest.raises(SystemExit):
-                main(["cache", action, "--cache-dir", str(target)])
-            assert "no cache directory" in capsys.readouterr().err
-            assert not target.exists()
+        with pytest.raises(SystemExit):
+            main(["cache", "gc", "--cache-dir", str(target)])
+        assert "no cache directory" in capsys.readouterr().err
+        assert not target.exists()
 
     def test_rejects_unknown_action(self):
         with pytest.raises(SystemExit):

@@ -32,7 +32,10 @@ pinned benchmarks cover the sweep engine's hot paths:
 
 The incremental-admission sweep and the detection index are
 additionally held to *speedup floors* against their in-run references
-(:data:`RATIO_GATES`).
+(:data:`RATIO_GATES`), and so is the sweep engine's pooled fan-out
+against its serial leg (``test_parallel_sweep_pool`` vs
+``test_parallel_sweep_serial``; a wall-clock property, so it is gated
+here rather than asserted in the test suite — it needs ≥ 2 CPUs).
 
 Raw means are meaningless across machines (the committed baseline was
 recorded on one box, CI runs on another), so every pinned mean is
@@ -93,6 +96,9 @@ RATIO_GATES = (
     # Detection scoring: per-monitor sorted index vs the per-attack
     # scan over every job (O(jobs × attacks)).
     ("test_detection_scan_reference", "test_detection_scoring", 4.0),
+    # Sweep engine: a Fig. 2 panel fanned over the shared worker pool
+    # vs the same panel computed serially.
+    ("test_parallel_sweep_serial", "test_parallel_sweep_pool", 1.1),
 )
 
 
